@@ -1,4 +1,4 @@
-"""E11 — ablations of the engine's design choices (DESIGN.md §5 note).
+"""E11 — ablations of the engine's design choices.
 
 Three knobs the paper's design motivates, each measured on the same scenes:
 

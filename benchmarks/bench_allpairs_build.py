@@ -1,10 +1,10 @@
 """E3 — §6.3: the V_R-to-V_R structure.
 
 Paper claims: O(log² n) time with O(n²) processors (work O(n² log² n)).
-Our conquer substitutes the flow pipeline (DESIGN.md §2): time matches the
-paper's Θ(log² n); the measured work exponent carries an extra ~n^0.6 from
-the vectorised fallback product on scattered blocks — reported honestly
-below next to the paper column.
+Our conquer substitutes interface accumulation for the flow pipeline (see
+``repro.core.allpairs``): time matches the paper's Θ(log² n); the measured
+work exponent carries an extra ~n^0.6 from the vectorised fallback product
+on scattered blocks — reported honestly below next to the paper column.
 
 Wall-clock is tracked against ``SEED_WALL_S`` (the pre-vectorization
 build times): the batched array-SMAWK conquer plus the corner-graph /
@@ -96,7 +96,7 @@ def test_e3_allpairs_build(benchmark):
         title=(
             "E3  §6.3 V_R-to-V_R build — paper: T=O(log²n), W=O(n²log²n)\n"
             f"measured: T ~ n^{t_slope:.2f}, W ~ n^{w_slope:.2f} "
-            "(substituted conquer; see DESIGN.md §2)"
+            "(substituted conquer; see repro.core.allpairs)"
         ),
     )
     emit("E3_allpairs_build", text)

@@ -3,7 +3,7 @@
 Paper claims: with all queries on Bound(P), the structure builds in
 O(log² n) time with O(n²/log² n) processors (work O(n²)).  We register
 O(n) boundary sample points on a rectangle container P (modelled as 4
-framing obstacles, DESIGN.md §2) and measure simulated time against log² n
+framing obstacles) and measure simulated time against log² n
 and work against n².
 """
 

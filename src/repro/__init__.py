@@ -1,8 +1,8 @@
 """repro — Parallel rectilinear shortest paths with rectangular obstacles.
 
 A from-scratch reproduction of Atallah & Chen (SPAA 1990 / CGTA 1991) on a
-simulated CREW-PRAM.  See README.md for a tour and DESIGN.md for the
-paper-to-module map.
+simulated CREW-PRAM.  See README.md for a tour; its "Architecture"
+section maps the build stages to modules.
 
 High-level entry point::
 

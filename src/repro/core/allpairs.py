@@ -3,8 +3,9 @@
 Divide-and-conquer on staircase separators (Theorem 2), conquering with
 (min,+) products through crossing candidates on the separator — the
 Monge-multiply conquer of Theorem 3 / Lemma 5, with the paper's flow
-pipeline replaced by explicit interface accumulation (substitution table in
-DESIGN.md §2).
+pipeline replaced by explicit interface accumulation: each node tracks its
+ancestors' separator candidates as points, which yields the same exact
+matrices without simulating the flows' Mode 1/2 routing.
 
 Correctness skeleton (mirrors §4's lemma toolkit):
 
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.baseline import GridOracle, clear_l1_block, corner_graph_matrix
+from repro.core.baseline import clear_l1_block, corner_graph_matrix
 from repro.core.separator import staircase_separator
 from repro.errors import GeometryError, QueryError
 from repro.geometry.decompose import (
@@ -49,7 +50,7 @@ from repro.geometry.primitives import Point, Rect, bbox_of_points, dist, validat
 from repro.geometry.rayshoot import RayShooter
 from repro.geometry.staircase import Staircase
 from repro.monge.matrix import MongeFlag
-from repro.monge.multiply import minplus_auto, minplus_monge, minplus_naive
+from repro.monge.multiply import minplus_monge, minplus_naive
 from repro.pram.machine import PRAM, ambient
 
 INF = float("inf")
@@ -224,6 +225,92 @@ class DistanceIndex:
 def _arc_pos(p: Point, increasing: bool) -> int:
     """Arc-length parameter along a monotone staircase (x+y or x−y)."""
     return p[0] + p[1] if increasing else p[0] - p[1]
+
+
+def block_minplus(
+    DU: np.ndarray, block: np.ndarray, certify: bool, pram: PRAM
+) -> tuple[np.ndarray, bool]:
+    """One conquer column block ``DU * block``; returns ``(product, fast)``.
+
+    A chain block (``certify``) is certified once through
+    :class:`MongeFlag` — :func:`minplus_monge`'s own check then reads the
+    memoised verdict instead of re-paying the O(|Z|·|g|) certification —
+    and takes the SMAWK product of Lemma 3 when Monge (``fast``), else
+    the naive product.  Ungrouped columns go straight to the naive product.
+    """
+    if not certify:
+        return minplus_naive(DU, block, pram), False
+    flag = MongeFlag(block)
+    pram.charge(time=1, work=flag.array.size, width=flag.array.size)
+    if flag.monge():
+        return minplus_monge(DU, flag, pram), True
+    return minplus_naive(DU, flag.array, pram), False
+
+
+def chain_cross_product(
+    DU: np.ndarray,
+    DL: np.ndarray,
+    cols: Sequence[Point],
+    chain_tags: dict,
+    pram: PRAM,
+    offload=None,
+) -> tuple[np.ndarray, int]:
+    """(min,+) product ``DU * DL`` with chain-grouped column dispatch.
+
+    Columns with a common chain tag (``chain_tags[p] = (chain id,
+    position)``) are processed together in chain order: the block
+    ``DL[Z × group]`` is then Monge whenever Lemma 2's side conditions
+    hold (verified at runtime by :func:`block_minplus`), so those groups
+    take the SMAWK path of Lemma 3.  Ungrouped columns (obstacle
+    vertices) carry no chain order, so they form one naive block — the
+    extra work E3 measures against the paper's flow-based conquer.
+    Independent blocks multiply side by side on the PRAM.
+
+    ``offload(DU, block, certify)`` may take a block off this process: it
+    returns ``None`` (run it here) or a ``wait()`` callable yielding
+    ``(product, fast, (time, work, width))``.  Offloaded blocks are all
+    submitted before any block runs here, and awaited last.  Returns
+    ``(product, number of blocks that took the SMAWK path)``.
+    """
+    groups: dict[int, list[int]] = {}
+    scattered: list[int] = []
+    for j, p in enumerate(cols):
+        tag = chain_tags.get(p)
+        if tag is None:
+            scattered.append(j)
+        else:
+            groups.setdefault(tag[0], []).append(j)
+    blocks = []
+    for idxs in groups.values():
+        idxs.sort(key=lambda j: chain_tags[cols[j]][1])
+        blocks.append((idxs, True))
+    if scattered:
+        blocks.append((scattered, False))
+    def run_here(idxs, block, certify):
+        return lambda m: (idxs, *block_minplus(DU, block, certify, m))
+
+    def run_remote(idxs, wait):
+        def job(m: PRAM):
+            product, fast, (t, w, width) = wait()
+            m.charge(time=t, work=w, width=width)
+            return idxs, product, fast
+
+        return job
+
+    local, remote = [], []
+    for idxs, certify in blocks:
+        block = DL[:, idxs]
+        wait = offload(DU, block, certify) if offload is not None else None
+        if wait is None:
+            local.append(run_here(idxs, block, certify))
+        else:
+            remote.append(run_remote(idxs, wait))
+    out = np.full((DU.shape[0], DL.shape[1]), INF)
+    fast_blocks = 0
+    for idxs, block_out, fast in pram.parallel(local + remote):
+        out[:, idxs] = block_out
+        fast_blocks += int(fast)
+    return out, fast_blocks
 
 
 class ParallelEngine:
@@ -783,53 +870,20 @@ class ParallelEngine:
         cols: list[Point],
         pram: PRAM,
     ) -> np.ndarray:
-        """(min,+) product ``DU * DL`` with chain-grouped column dispatch.
-
-        Columns with a common chain provenance are processed together in
-        chain order: the block ``DL[Z × group]`` is then Monge whenever
-        Lemma 2's side conditions hold (verified at runtime, O(|Z|·|g|)),
-        so those groups take the SMAWK path of Lemma 3.  Ungrouped columns
-        (obstacle vertices) fall back to the vectorised naive product —
-        the quantified substitution of DESIGN.md §2.
-        """
+        """``DU * DL`` through :func:`chain_cross_product`, or one naive
+        product when Monge dispatch is off (ablation E2)."""
         if not self.monge_dispatch:
             return minplus_naive(DU, DL, pram)
-        groups: dict[int, list[int]] = {}
-        scattered: list[int] = []
-        for j, p in enumerate(cols):
-            tag = self._chain_tags.get(p)
-            if tag is None:
-                scattered.append(j)
-            else:
-                groups.setdefault(tag[0], []).append(j)
-        out = np.full((DU.shape[0], DL.shape[1]), INF)
-
-        def group_job(idxs: list[int]):
-            def run(m: PRAM):
-                # certify once via the flag; minplus_monge's own check
-                # then reads the memoised verdict instead of re-paying
-                # the O(|Z|·|g|) certification
-                block = MongeFlag(DL[:, idxs])
-                m.charge(time=1, work=block.array.size, width=block.array.size)
-                if block.monge():
-                    self.stats.monge_fast_blocks += 1
-                    return idxs, minplus_monge(DU, block, m)
-                return idxs, minplus_naive(DU, block.array, m)
-
-            return run
-
-        jobs = []
-        for cid, idxs in groups.items():
-            idxs.sort(key=lambda j: self._chain_tags[cols[j]][1])
-            jobs.append(group_job(idxs))
-        if scattered:
-            jobs.append(
-                lambda m: (scattered, minplus_naive(DU, DL[:, scattered], m))
-            )
-        # independent column groups multiply side by side on the PRAM
-        for idxs, block_out in pram.parallel(jobs):
-            out[:, idxs] = block_out
+        out, fast = chain_cross_product(
+            DU, DL, cols, self._chain_tags, pram, offload=self._offload_block
+        )
+        self.stats.monge_fast_blocks += fast
         return out
+
+    def _offload_block(self, DU: np.ndarray, block: np.ndarray, certify: bool):
+        """Executor hook of :func:`chain_cross_product`: this engine runs
+        every column block in process."""
+        return None
 
     # ------------------------------------------------------------------
     def _apply_projection_specials(

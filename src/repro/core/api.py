@@ -144,7 +144,6 @@ class ShortestPathIndex:
         pram: Optional[PRAM] = None,
         leaf_size: int = 6,
         jobs: Optional[int] = None,
-        jit: bool = False,
     ) -> "ShortestPathIndex":
         """Build the index over a mix of ``Rect`` and ``RectilinearPolygon``
         obstacles.
@@ -168,10 +167,7 @@ class ShortestPathIndex:
         :func:`repro.pipeline.build_index` directly to control the cache.
 
         ``jobs`` sizes the worker pool of the ``parallel-mp`` engine
-        (ignored by the others); ``jit=True`` opts the solve into the
-        compiled kernels of :mod:`repro.kernels` when numba is present
-        (byte-identical results either way — see
-        ``idx.provenance["jit"]``).
+        (ignored by the others).
         """
         from repro.pipeline import build_index
         from repro.scene import Scene
@@ -180,8 +176,7 @@ class ShortestPathIndex:
             obstacles, container=container, extra_points=extra_points
         )
         return build_index(
-            scene, engine=engine, pram=pram, leaf_size=leaf_size,
-            jobs=jobs, jit=jit,
+            scene, engine=engine, pram=pram, leaf_size=leaf_size, jobs=jobs
         )
 
     # ------------------------------------------------------------------

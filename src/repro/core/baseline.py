@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import QueryError
 from repro.geometry.hanan import HananGraph, hanan_graph
 from repro.geometry.primitives import Point, Rect
@@ -331,16 +330,6 @@ def clear_l1_block(
     out = np.full((na, nb), INF)
     if na == 0 or nb == 0:
         return out
-    if kernels.jit_active():
-        # compiled backend (repro.kernels): one njit sweep with the same
-        # strict/exact comparisons — results are bit-identical
-        rect_arr = np.array(
-            [(r.xlo, r.ylo, r.xhi, r.yhi) for r in rects], dtype=np.float64
-        ).reshape(-1, 4)
-        seam_arr = np.array(
-            [(s.x, s.ylo, s.yhi) for s in seams], dtype=np.float64
-        ).reshape(-1, 3)
-        return kernels.clear_l1(a, b, rect_arr, seam_arr)
     step = max(1, chunk // max(1, nb))
     for lo in range(0, na, step):
         ax = a[lo : lo + step, 0][:, None]

@@ -14,7 +14,9 @@ pieces of the recursion in worker *processes* (:mod:`repro.core.pool`):
    still above the leaf size become *subtree tasks* (the worker runs the
    whole subtree).  Subtree-cache hits resolve in the parent during
    planning, exactly as on the single-core path — repaired multicore
-   builds reuse the same content-addressed entries.
+   builds reuse the same content-addressed entries.  An incremental
+   build (subtree cache set) plans all the way to the leaves, so every
+   node is probed, counted and deposited in the parent.
 2. **Dispatch.**  Tasks go to the worker pool largest-first (simulated
    work is the schedule key), results return over shared memory.
 3. **Conquer.**  The parent merges children as results arrive; the
@@ -22,11 +24,12 @@ pieces of the recursion in worker *processes* (:mod:`repro.core.pool`):
    column blocks to the pool too, when big enough to pay for the hop.
 
 Byte-identity with ``parallel`` holds because every matrix entry is a
-min over the *same* float64 candidate sums: the three (min,+) paths
-(SMAWK/Monge, vectorized naive, compiled) are exact and workers run the
-identical code on identical deterministically-ordered inputs.  Chain
-*grouping* may differ across engines (tag ids are assigned in traversal
-order), which can only re-route a block between two exact products.
+min over the *same* float64 candidate sums: both (min,+) paths
+(SMAWK/Monge and vectorized naive) are exact, and workers run the
+identical code (:func:`repro.core.allpairs.block_minplus`) on identical
+deterministically-ordered inputs.  Chain *grouping* may differ across
+engines (tag ids are assigned in traversal order), which can only
+re-route a block between two exact products.
 PRAM totals match the single-core engine because every charge is either
 replayed in the parent or accumulated worker-side and merged with the
 same ``parallel()`` semantics (time ``+= max``, work ``+= sum``).
@@ -47,16 +50,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allpairs import (
-    INF,
-    DistanceIndex,
-    ParallelEngine,
-)
+from repro.core.allpairs import DistanceIndex, ParallelEngine, block_minplus
 from repro.core.separator import staircase_separator
 from repro.errors import EngineError
 from repro.geometry.decompose import staircase_clear_of_seams
-from repro.monge.matrix import MongeFlag
-from repro.monge.multiply import minplus_monge, minplus_naive
+# bound here (unused) so perfbench's per-layer clock, which patches these
+# names per module, finds them; the products run in repro.core.allpairs
+from repro.monge.multiply import minplus_monge, minplus_naive  # noqa: F401
 from repro.pram.machine import PRAM
 
 __all__ = ["ParallelMPEngine"]
@@ -253,7 +253,12 @@ class ParallelMPEngine(ParallelEngine):
         heap: list = []
         seq = itertools.count()
         self._admit(root, tasks, heap, resolved, seq)
-        while heap and (len(tasks) + len(heap)) < target:
+        # an incremental build expands to the leaves: a subtree task's
+        # worker has no subtree cache, so the nodes below its root would
+        # go unprobed, uncounted and undeposited
+        while heap and (
+            self._sub_cache is not None or len(tasks) + len(heap) < target
+        ):
             _, _, node = heapq.heappop(heap)
             split = self._expand(node)
             if split is None:
@@ -280,15 +285,12 @@ class ParallelMPEngine(ParallelEngine):
 
     # ------------------------------------------------------------------
     def _dispatch(self, tasks: List[_Node]) -> None:
-        from repro import kernels
-
         # largest simulated work first: the schedule key that keeps the
         # pool busy while small leaves fill the gaps
         tasks.sort(
             key=lambda n: len(n.pts) * len(n.pts) * max(1, len(n.rect_idx)),
             reverse=True,
         )
-        jit = kernels.jit_requested()
         ctx = {
             "rects": self.rects,
             "seams": self.seams,
@@ -317,7 +319,6 @@ class ParallelMPEngine(ParallelEngine):
                 payload,
                 arrays_spec={"matrix": ((m, m), "<f8")},
                 kind=node.kind,
-                jit=jit,
             )
             self._pending[node.task_id] = node
             self.pool_stats["tasks"] += 1
@@ -418,96 +419,43 @@ class ParallelMPEngine(ParallelEngine):
         self._deposit(node)
 
     # ------------------------------------------------------------------
-    def _cross_product(self, DU, DL, cols, pram):
-        """The chain-grouped (min,+) dispatch of the parent class, with
-        big column blocks shipped to the pool.  Grouping, products, and
-        PRAM merge semantics are identical; only the executor differs."""
+    def _offload_block(self, DU, block, certify):
+        """Ship a conquer column block big enough to pay for the hop to the
+        pool; the worker runs the same :func:`block_minplus`."""
         if (
             self._pool is None
             or getattr(self._pool, "closed", True)
-            or not self.monge_dispatch
+            or DU.shape[0] * block.shape[1] * max(1, DU.shape[1])
+            < MIN_REMOTE_CONQUER_OPS
         ):
-            return super()._cross_product(DU, DL, cols, pram)
-        groups: Dict[int, List[int]] = {}
-        scattered: List[int] = []
-        for j, p in enumerate(cols):
-            tag = self._chain_tags.get(p)
-            if tag is None:
-                scattered.append(j)
-            else:
-                groups.setdefault(tag[0], []).append(j)
-        out = np.full((DU.shape[0], DL.shape[1]), INF)
-        jobs: List[Tuple[List[int], bool]] = []
-        for cid, idxs in groups.items():
-            idxs.sort(key=lambda j: self._chain_tags[cols[j]][1])
-            jobs.append((idxs, True))
-        if scattered:
-            jobs.append((scattered, False))
-        from repro import kernels
+            return None
+        tid = self._pool.submit(
+            "repro.core.mpengine:_task_minplus",
+            {"a": DU, "b": block, "certify": certify},
+            arrays_spec={"matrix": ((DU.shape[0], block.shape[1]), "<f8")},
+            kind="conquer",
+        )
+        self.pool_stats["tasks"] += 1
+        self.pool_stats["conquer_tasks"] += 1
 
-        jit = kernels.jit_requested()
-        nz = DU.shape[1]
-        remote: Dict[int, List[int]] = {}
-        merged: List[Tuple[int, int, int]] = []  # (time, work, max_ops)
-        flags = 0
-        for idxs, certify in jobs:
-            ops = DU.shape[0] * len(idxs) * max(1, nz)
-            if ops >= MIN_REMOTE_CONQUER_OPS:
-                block = np.ascontiguousarray(DL[:, idxs])
-                tid = self._pool.submit(
-                    "repro.core.mpengine:_task_minplus",
-                    {"a": DU, "b": block, "certify": certify},
-                    arrays_spec={
-                        "matrix": ((DU.shape[0], len(idxs)), "<f8")
-                    },
-                    kind="conquer",
-                    jit=jit,
-                )
-                remote[tid] = idxs
-                self.pool_stats["tasks"] += 1
-                self.pool_stats["conquer_tasks"] += 1
-            else:
-                jm = PRAM(f"{pram.name}/mp-x")
-                if certify:
-                    flag = MongeFlag(DL[:, idxs])
-                    jm.charge(time=1, work=flag.array.size,
-                              width=flag.array.size)
-                    if flag.monge():
-                        flags += 1
-                        out[:, idxs] = minplus_monge(DU, flag, jm)
-                    else:
-                        out[:, idxs] = minplus_naive(DU, flag.array, jm)
-                else:
-                    out[:, idxs] = minplus_naive(DU, DL[:, idxs], jm)
-                merged.append((jm.time, jm.work, jm.max_ops))
-        for tid, (wall, body, arrays) in self._collect(set(remote)).items():
-            out[:, remote[tid]] = arrays["matrix"]
-            merged.append(tuple(body["pram"]))
-            flags += int(body.get("fast", 0))
+        def wait():
+            wall, body, arrays = self._collect(tid)
             self.pool_stats["worker_wall_s"] += float(wall)
-        self.stats.monge_fast_blocks += flags
-        if merged:  # the pram.parallel() merge across all column jobs
-            pram.charge(
-                time=max(t for t, _, _ in merged),
-                work=sum(w for _, w, _ in merged),
-                width=max(mx for _, _, mx in merged),
-            )
-        return out
+            return arrays["matrix"], body["fast"], tuple(body["pram"])
 
-    def _collect(self, tids: set) -> Dict[int, tuple]:
-        """Wait for exactly ``tids``, buffering any other build results
-        that arrive meanwhile (they are handled by the main loop)."""
-        got: Dict[int, tuple] = {}
-        for tid in list(tids):
-            if tid in self._arrived:
-                got[tid] = self._arrived.pop(tid)
-        while len(got) < len(tids):
-            tid, wall, body, arrays = self._pool.next_result()
-            if tid in tids:
-                got[tid] = (wall, body, arrays)
-            else:
-                self._arrived[tid] = (wall, body, arrays)
-        return got
+        return wait
+
+    def _collect(self, tid: int) -> tuple:
+        """Wait for task ``tid``'s ``(wall, body, arrays)``, buffering any
+        other build results that arrive meanwhile (the main loop, or a
+        later ``_collect``, picks them up)."""
+        if tid in self._arrived:
+            return self._arrived.pop(tid)
+        while True:
+            got, wall, body, arrays = self._pool.next_result()
+            if got == tid:
+                return wall, body, arrays
+            self._arrived[got] = (wall, body, arrays)
 
 
 # ----------------------------------------------------------------------
@@ -572,21 +520,8 @@ def _task_solve(payload: dict):
 
 
 def _task_minplus(payload: dict):
-    """One chain-grouped conquer column block, replicating the parent
-    class's ``group_job`` exactly (certify → SMAWK/Monge, else naive)."""
-    a = payload["a"]
-    b = payload["b"]
+    """One chain-grouped conquer column block (:func:`block_minplus`)."""
     m = PRAM("pool-minplus")
-    fast = 0
-    if payload["certify"]:
-        flag = MongeFlag(b)
-        m.charge(time=1, work=flag.array.size, width=flag.array.size)
-        if flag.monge():
-            fast = 1
-            out = minplus_monge(a, flag, m)
-        else:
-            out = minplus_naive(a, flag.array, m)
-    else:
-        out = minplus_naive(a, b, m)
+    out, fast = block_minplus(payload["a"], payload["b"], payload["certify"], m)
     result = {"pram": (m.time, m.work, m.max_ops), "fast": fast}
     return result, {"matrix": np.ascontiguousarray(out, dtype=np.float64)}

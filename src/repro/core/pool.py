@@ -88,8 +88,6 @@ def _resolve(fn_name: str):
 
 def _worker_main(task_q, result_q) -> None:
     """Worker process body: pull tasks until the ``None`` sentinel."""
-    from repro import kernels
-
     while True:
         try:
             task = task_q.get()
@@ -103,7 +101,6 @@ def _worker_main(task_q, result_q) -> None:
                 # test hook: die the way a segfault would — no cleanup,
                 # no exception, just a vanished process
                 os._exit(int(task.get("code", 3)))
-            kernels.set_jit(bool(task.get("jit", False)))
             t0 = time.perf_counter()
             result, arrays = _resolve(task["fn"])(task["payload"])
             seg_spec = task.get("seg")
@@ -183,7 +180,6 @@ class WorkerPool:
         payload: dict,
         arrays_spec: Optional[Dict[str, Tuple[tuple, str]]] = None,
         kind: str = "task",
-        jit: bool = False,
     ) -> int:
         """Queue one task; returns its id.  ``fn`` is a ``"module:func"``
         handler returning ``(result_dict, arrays_dict)``.  ``arrays_spec``
@@ -209,7 +205,6 @@ class WorkerPool:
             "fn": fn,
             "payload": payload,
             "seg": seg_spec,
-            "jit": bool(jit),
         }
         self._outstanding.add(tid)
         self._kinds[tid] = kind

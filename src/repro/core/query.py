@@ -8,7 +8,7 @@ points costs ``O(log n)`` with one processor:
 * decide whether ``p`` lies above or below the implicit ``NE(q)`` path by
   binary search on the tracing forest (the paper's subdivisions ``H₁/H₂``
   answer the same ray-shooting queries; our segment-tree
-  :class:`RayShooter` plays that role, see DESIGN.md);
+  :class:`RayShooter` plays that role, see :mod:`repro.geometry.rayshoot`);
 * below: shoot a leftward ray from ``p``.  If it crosses ``NE(q)`` before
   any obstacle the length is ``d(p, q)`` (there is a staircase); otherwise
   it hits an obstacle edge ``q₁q₂`` and the answer is

@@ -15,7 +15,7 @@ together where they cross (which follows the paper's bridge along the
 ``MAX_NE`` — resp. ``MAX_NW`` — finite segments up to the width-zero
 degeneracy).  The shortest-path engines never build degenerate envelopes —
 separators always split along clear staircases — so the substitution only
-affects renderings and is recorded in DESIGN.md.
+affects renderings.
 
 Profiles are step functions over x represented as runs ``(x_from, x_to,
 y)``; this representation is shared with convex rectilinear polygons

@@ -22,8 +22,8 @@ distinct roles use it:
 :func:`pockets_to_rects` decomposes ``bbox(P) \\ P`` into axis-parallel
 rectangles.  This is how the engines support a polygon container: the free
 space inside ``P`` equals the free space among ``R ∪ pockets``, so every
-obstacle-only algorithm applies unchanged (substitution recorded in
-DESIGN.md §2).
+obstacle-only algorithm applies unchanged (README, "Architecture": the
+decompose stage adds the pockets).
 """
 
 from __future__ import annotations

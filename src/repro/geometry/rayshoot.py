@@ -9,8 +9,7 @@ the rectangles spanning it; a query walks one root-to-leaf path and takes
 the best bisect over ``O(log n)`` sorted lists, i.e. ``O(log² n)`` per shot
 after ``O(n log n)`` preprocessing — the same preprocessing/query trade the
 paper gets from [4] (its point-location queries are ``O(log n)``; the extra
-log factor here is irrelevant to every bound we measure and is noted in
-DESIGN.md).
+log factor here is irrelevant to every bound we measure).
 
 Obstacle *interiors* are opaque; boundaries are not.  A ray starting on the
 near boundary of a rectangle hits it at distance zero; a ray grazing along

@@ -93,10 +93,9 @@ BUILD_SPANS = SpanBuffer(512)
 
 #: per-build options that cannot ride the fixed engine signature
 #: ``solve(dec, graph, pram, leaf_size)``: worker count for ``parallel-mp``,
-#: the jit flag, this build's trace id, and the pool stats the engine
-#: reports back for provenance.  Thread-local so concurrent builds with
-#: different settings (a QueryServer thread vs. a repair thread) don't
-#: bleed into each other.
+#: this build's trace id, and the pool stats the engine reports back for
+#: provenance.  Thread-local so concurrent builds with different settings
+#: (a QueryServer thread vs. a repair thread) don't bleed into each other.
 _BUILD_OPTS = threading.local()
 
 
@@ -471,7 +470,6 @@ def build_index(
     incremental: bool = False,
     delta_hint: Optional[tuple] = None,
     jobs: Optional[int] = None,
-    jit: bool = False,
 ):
     """Run the full stage pipeline over ``scene`` and return a queryable
     :class:`~repro.core.api.ShortestPathIndex` with ``idx.provenance``
@@ -496,14 +494,7 @@ def build_index(
 
     ``jobs`` sizes the ``parallel-mp`` engine's worker pool (default:
     the visible cores, capped at 8; ignored by other engines).
-    ``jit=True`` opts the solve into the compiled kernels of
-    :mod:`repro.kernels` when numba is importable — results are
-    byte-identical either way, and ``idx.provenance["jit"]`` records
-    what actually ran.
     """
-    from repro import kernels
-    from repro.core.api import ShortestPathIndex
-
     spec = get_engine(engine)  # fail before any work on a bad name
     cache = default_cache() if cache is None else cache
     pram = pram or PRAM("build")
@@ -516,8 +507,7 @@ def build_index(
     try:
         return _build_index_inner(
             scene, engine, pram, leaf_size, cache, incremental, delta_hint,
-            jit, spec, stages, geo_hash, full_hash, kernels,
-            ShortestPathIndex,
+            spec, stages, geo_hash, full_hash,
         )
     finally:
         _BUILD_OPTS.jobs = None
@@ -527,8 +517,9 @@ def build_index(
 
 def _build_index_inner(
     scene, engine, pram, leaf_size, cache, incremental, delta_hint,
-    jit, spec, stages, geo_hash, full_hash, kernels, ShortestPathIndex,
+    spec, stages, geo_hash, full_hash,
 ):
+    from repro.core.api import ShortestPathIndex
 
     dec, _ = _run_stage(
         stages, "decompose", cache, ("decompose", geo_hash), lambda: _decompose(scene)
@@ -553,14 +544,13 @@ def _build_index_inner(
     sub_stats: Optional[dict] = None
     if not cached:
         child = PRAM(f"{pram.name}/solve[{engine}]", pram.detect_conflicts)
-        with kernels.use_jit(jit):
-            if inc_ok:
-                index, sub_stats = _solve_parallel_incremental(
-                    dec, graph, child, leaf_size, cache, delta_hint,
-                    engine=engine,
-                )
-            else:
-                index = spec.solve(dec, graph, child, leaf_size)
+        if inc_ok:
+            index, sub_stats = _solve_parallel_incremental(
+                dec, graph, child, leaf_size, cache, delta_hint,
+                engine=engine,
+            )
+        else:
+            index = spec.solve(dec, graph, child, leaf_size)
         # the matrix may be aliased by every later build of this scene (a
         # cache hit shares the ndarray, it does not copy): freeze it so an
         # in-place edit through one index cannot corrupt the others
@@ -594,12 +584,6 @@ def _build_index_inner(
         "n_rects": len(dec.all_rects),
         "stages": stages,
         "incremental": bool(inc_ok),
-        "jit": {
-            "requested": bool(jit),
-            "available": kernels.available() if jit else None,
-            "active": bool(jit) and kernels.available(),
-            "backend": kernels.backend() if jit else "numpy",
-        },
     }
     if sub_stats is not None:
         idx.provenance["subtree"] = sub_stats

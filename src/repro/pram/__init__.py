@@ -1,8 +1,7 @@
 """A metered CREW-PRAM simulator.
 
-Python's GIL prevents true shared-memory parallelism, so — per the
-substitution recorded in DESIGN.md — this package *simulates* the paper's
-machine model: parallel steps execute sequentially while the simulator
+Python's GIL prevents true shared-memory parallelism, so this package
+*simulates* the paper's machine model: parallel steps execute sequentially while the simulator
 meters **parallel time** (the depth of the step DAG) and **work** (total
 operations).  Those two numbers are exactly what the paper's theorems bound;
 Brent's theorem (Theorem 1) then gives the running time on any processor

@@ -6,8 +6,8 @@ needs *constant-time* level-ancestor queries.  The paper cites an
 unpublished Berkman–Vishkin report; we substitute the functionally
 equivalent jump-pointer + ladder scheme (Bender & Farach-Colton's
 formulation): ``O(n log n)`` work, ``O(log n)`` simulated time to build,
-``O(1)`` per query.  DESIGN.md records the substitution — §8's budget is
-``O(n²)`` work, so the extra log factor is immaterial.
+``O(1)`` per query.  §8's budget is ``O(n²)`` work, so the extra log
+factor is immaterial.
 """
 
 from __future__ import annotations

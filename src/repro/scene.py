@@ -4,7 +4,7 @@ A :class:`Scene` is the one domain object every entry point shares: the
 obstacle list (``Rect`` and/or ``RectilinearPolygon``), the optional
 rectilinear-convex container ``P`` of the paper, and any extra points to
 index.  Parsing, validation, and normalization live *here* and nowhere
-else — the CLI, :mod:`repro.workloads.scenefile`, the
+else — the CLI, the
 :class:`~repro.serve.store.SceneStore`, the cluster worker's scene specs,
 and the fuzz/bench drivers all call this single authoritative path, so a
 malformed scene produces the identical one-line

@@ -227,7 +227,7 @@ def fig13() -> str:
     lines = [
         "Fig. 13  Flows over the recursion tree (Modes 1 and 2 of §6.3).",
         "Our engine replaces the flow pipeline with interface accumulation",
-        "(DESIGN.md §2); the recursion profile that the flows would traverse:",
+        "(repro.core.allpairs); the recursion profile the flows would traverse:",
         f"    nodes={s.nodes}  leaves={s.leaves}  "
         f"max |T_v|={s.max_tracked}  max |S_v|={s.max_interface}",
         "    tracked points per depth: "

@@ -223,12 +223,13 @@ class TestSceneSchemaV2:
 
     def test_scene_dict_roundtrip(self):
         from repro.workloads.generators import random_polygon_scene
-        from repro.workloads.scenefile import scene_from_dict, scene_to_dict
+        from repro.scene import Scene
 
         obstacles = random_polygon_scene(2, 2, seed=5)
-        data = scene_to_dict(obstacles)
-        back, container = scene_from_dict(json.loads(json.dumps(data)))
-        assert container is None
+        data = Scene.from_obstacles(obstacles).to_dict()
+        scene = Scene.from_dict(json.loads(json.dumps(data)))
+        back = list(scene.obstacles)
+        assert scene.container is None
         # order normalizes to rects-then-polygons; content is exact
         def split(obs):
             rects = sorted(o for o in obs if not hasattr(o, "loop"))

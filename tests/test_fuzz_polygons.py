@@ -128,22 +128,21 @@ def test_solid_semantics_blocks_seam_shortcut():
         assert_valid_path(idx, path, (2, -2), (2, 2), 10)
 
 
-def test_fuzz_parallel_mp_jit_modes():
-    """parallel-mp under jit=True vs jit=False on seam-heavy scenes: the
-    compiled kernels (or, without numba, the fallback) must leave the
-    matrix byte-identical."""
+def test_fuzz_parallel_mp_matches_parallel_on_seams():
+    """parallel-mp on a real two-worker pool vs the single-process
+    parallel engine on seam-heavy scenes: byte-identical matrices."""
     from repro.pipeline import StageCache, build_index
     from repro.scene import Scene
 
     for seed in (0, 4):
         obstacles = random_polygon_scene(n_polygons=2, n_rects=3, seed=seed)
         scene = Scene.from_obstacles(obstacles)
-        on = build_index(
-            scene, engine="parallel-mp", jobs=2, jit=True,
+        mp = build_index(
+            scene, engine="parallel-mp", jobs=2,
             cache=StageCache(max_entries=0),
         )
-        off = build_index(
-            scene, engine="parallel-mp", jobs=2, jit=False,
-            cache=StageCache(max_entries=0),
+        sp = build_index(
+            scene, engine="parallel", cache=StageCache(max_entries=0)
         )
-        assert on.index.matrix.tobytes() == off.index.matrix.tobytes()
+        assert mp.provenance["pool"]["workers"] == 2
+        assert mp.index.matrix.tobytes() == sp.index.matrix.tobytes()

@@ -27,7 +27,6 @@ from repro.pram.machine import PRAM
 from repro.scene import Scene, SceneDelta
 from repro.serve.shm import list_segments
 from repro.workloads.generators import random_disjoint_rects, random_polygon_scene
-from repro import kernels
 
 
 def _rect_scene(n, seed):
@@ -249,99 +248,6 @@ def test_pool_counters_flow_through_registry():
 
 
 # ----------------------------------------------------------------------
-# compiled kernels (numba optional — the probe must stay honest)
-# ----------------------------------------------------------------------
-def test_jit_provenance_is_honest():
-    scene = _rect_scene(16, 6)
-    idx = build_index(
-        scene, engine="parallel", jit=True, cache=StageCache(max_entries=0)
-    )
-    prov = idx.provenance["jit"]
-    assert prov["requested"] is True
-    assert prov["available"] == kernels.available()
-    assert prov["active"] == kernels.available()
-    if kernels.available():
-        assert prov["backend"].startswith("numba-")
-    else:
-        assert prov["backend"] == "numpy"
-    off = build_index(scene, engine="parallel", cache=StageCache(max_entries=0))
-    assert off.provenance["jit"]["requested"] is False
-    assert off.provenance["jit"]["active"] is False
-
-
-def test_jit_on_matches_jit_off_bytes():
-    """jit=True must never change the answer — with numba installed this
-    compares compiled vs numpy kernels; without, it checks the fallback
-    path really is the plain solve."""
-    scene = _rect_scene(30, 8)
-    on = build_index(
-        scene, engine="parallel-mp", jobs=2, jit=True,
-        cache=StageCache(max_entries=0),
-    )
-    off = build_index(
-        scene, engine="parallel-mp", jobs=2, jit=False,
-        cache=StageCache(max_entries=0),
-    )
-    assert on.index.matrix.tobytes() == off.index.matrix.tobytes()
-
-
-@pytest.mark.skipif(not kernels.available(), reason="numba not installed")
-def test_compiled_smawk_matches_numpy():
-    from repro.monge.smawk import smawk_row_minima_array
-
-    rng = np.random.default_rng(0)
-    for trial in range(30):
-        al = int(rng.integers(1, 30))
-        inner = int(rng.integers(1, 30))
-        bc = int(rng.integers(1, 30))
-        offsets = rng.integers(0, 40, size=(al, inner)).astype(np.float64)
-        # a random Monge matrix: row/col offsets plus -s·k·j (mixed second
-        # difference -s ≤ 0); s = 0 every third trial makes ties dense so
-        # the leftmost-argmin rule is exercised hard
-        s = 0.0 if trial % 3 == 0 else float(rng.integers(1, 4))
-        k = np.arange(inner, dtype=np.float64)
-        j = np.arange(bc, dtype=np.float64)
-        b = (
-            rng.integers(0, 40, size=(inner, 1)).astype(np.float64)
-            + rng.integers(0, 40, size=(1, bc)).astype(np.float64)
-            - s * np.outer(k, j)
-        )
-        if trial % 4 == 0 and inner > 1:
-            b[int(rng.integers(0, inner)), :] = np.inf  # unreachable row
-        # brute-force leftmost argmin is the shared oracle for both paths
-        full = offsets[:, :, None] + b[None, :, :]
-        ref = np.argmin(full, axis=1)
-        with kernels.use_jit(False):
-            got_np = smawk_row_minima_array(offsets, b)
-        with kernels.use_jit(True):
-            got_jit = smawk_row_minima_array(offsets, b)
-        assert np.array_equal(ref, got_np), f"numpy path trial {trial}"
-        assert np.array_equal(got_np, got_jit), f"jit path trial {trial}"
-
-
-@pytest.mark.skipif(not kernels.available(), reason="numba not installed")
-def test_compiled_clear_l1_matches_numpy():
-    from repro.core.baseline import clear_l1_block
-
-    rects = list(random_disjoint_rects(8, seed=1))
-    pts = [(x, y) for x in range(0, 40, 7) for y in range(0, 20, 5)]
-    with kernels.use_jit(False):
-        ref = clear_l1_block(pts, pts, rects)
-    with kernels.use_jit(True):
-        got = clear_l1_block(pts, pts, rects)
-    assert np.array_equal(ref, got)
-
-
-def test_probe_reports_without_numba():
-    info = kernels.probe()
-    assert info["checked"] is True
-    assert isinstance(info["available"], bool)
-    if not info["available"]:
-        assert info["error"]
-        assert kernels.backend() == "numpy"
-
-
-# ----------------------------------------------------------------------
 # shared-memory transport helpers (reused by serve/ and the pool)
 # ----------------------------------------------------------------------
 def test_shm_block_roundtrip():
@@ -398,12 +304,12 @@ def test_worker_main_inline_roundtrip():
             "rect_idx": tuple(range(len(rects))), "interface": (),
             "depth": 0, "tags": {}, "next_chain_id": 0,
         },
-        "seg": None, "jit": False,
+        "seg": None,
     })
     tasks.put({
         "id": 2, "kind": "task", "fn": "repro.core.pool:_resolve",
         "payload": {},  # _resolve() called with a dict explodes → error path
-        "seg": None, "jit": False,
+        "seg": None,
     })
     tasks.put(None)
     _worker_main(tasks, results)
