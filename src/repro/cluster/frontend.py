@@ -10,11 +10,13 @@ Data path::
   explicit pins).  When all workers are up this equals the static
   assignment; when one dies its scenes rendezvous onto the survivors and
   move back the moment a restart rejoins — no routing state to replay.
-* **Micro-batching** — each worker has one dispatch loop that drains its
-  queue into a batch bounded by ``max_batch`` and ``batch_window_ms``;
-  while the worker is busy answering, new arrivals pile into the queue,
-  so batches grow exactly when the system is loaded — the serving-side
-  analogue of the paper's build-side batching.
+* **Micro-batching** — each worker has one work-conserving dispatch
+  loop: it takes the next request, drains whatever else is already
+  queued (up to ``max_batch``) and sends at once, never waiting for
+  more.  While a batch is on the pipe new arrivals pile into the queue,
+  so batches grow exactly when the system is loaded and stay at one on
+  an idle worker — the serving-side analogue of the paper's build-side
+  batching.
 * **Admission control** — per-worker queues are bounded; when one is
   full the front-end answers ``{"ok": false, "shed": true, ...}``
   immediately (one line, no queuing).  Requests carrying ``deadline_ms``
@@ -86,6 +88,13 @@ _LOCAL_OPS = (
 
 #: how many times one request may be re-routed after worker deaths
 _MAX_REDIRECTS = 2
+
+
+def _round_trip(conn, payload: dict) -> dict:
+    """Send one message down a worker pipe and block for its reply, so a
+    worker RPC costs a single executor hop."""
+    conn.send(payload)
+    return conn.recv()
 
 
 class _Item:
@@ -186,7 +195,6 @@ class ClusterFrontend:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 64,
-        batch_window_ms: float = 2.0,
         queue_depth: int = 256,
         pins: Optional[Mapping[str, int]] = None,
         start_method: Optional[str] = None,
@@ -211,7 +219,6 @@ class ClusterFrontend:
         self.host = host
         self.port = port
         self.max_batch = max(1, max_batch)
-        self.batch_window = max(0.0, batch_window_ms) / 1e3
         self.queue_depth = queue_depth
         self.pins = dict(pins or {})
         self.start_method = start_method
@@ -421,14 +428,11 @@ class ClusterFrontend:
         loop (imports done, store registered, pipe serviced) before any
         client traffic may route to it."""
         loop = asyncio.get_running_loop()
-
-        def round_trip():
-            worker.conn.send({"op": "batch", "seq": 0, "requests": [{"op": "ping"}]})
-            return worker.conn.recv()
-
+        ping = {"op": "batch", "seq": 0, "requests": [{"op": "ping"}]}
         try:
             reply = await asyncio.wait_for(
-                loop.run_in_executor(None, round_trip), self.ready_timeout_s
+                loop.run_in_executor(None, _round_trip, worker.conn, ping),
+                self.ready_timeout_s,
             )
         except (asyncio.TimeoutError, EOFError, OSError, BrokenPipeError) as exc:
             raise ClusterError(
@@ -508,15 +512,9 @@ class ClusterFrontend:
                     continue
                 self._trace_dequeue(item)
                 batch = [item]
-                deadline = loop.time() + self.batch_window
-                while len(batch) < self.max_batch:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        got = await asyncio.wait_for(worker.queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
+                # work-conserving: take what is already queued, never wait
+                while len(batch) < self.max_batch and not worker.queue.empty():
+                    got = worker.queue.get_nowait()
                     if not self._expire_if_late(got):
                         self._trace_dequeue(got)
                         batch.append(got)
@@ -529,8 +527,9 @@ class ClusterFrontend:
                 }
                 rpc_t0 = time.time()
                 try:
-                    await loop.run_in_executor(None, worker.conn.send, payload)
-                    reply = await loop.run_in_executor(None, worker.conn.recv)
+                    reply = await loop.run_in_executor(
+                        None, _round_trip, worker.conn, payload
+                    )
                 except (EOFError, OSError, BrokenPipeError) as exc:
                     worker.inflight = 0
                     self._on_worker_death(

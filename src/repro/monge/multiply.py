@@ -35,8 +35,9 @@ from repro.monge.matrix import INF, MongeFlag, as_matrix, is_monge
 from repro.monge.smawk import smawk_row_minima, smawk_row_minima_array
 from repro.pram.machine import PRAM, ambient
 
-# Cap the temporary broadcast tensor at ~32M float64 (256 MB) per chunk.
-_CHUNK_BUDGET = 4_000_000
+# Cap the temporary (rows, inner, cols) broadcast tensor at 2**17
+# float64 elements (1 MB) per row block.
+_CHUNK_BUDGET = 1 << 17
 
 
 def _log2(n: int) -> int:
@@ -44,8 +45,11 @@ def _log2(n: int) -> int:
 
 
 def minplus_naive(a, b, pram: Optional[PRAM] = None) -> np.ndarray:
-    """Brute-force (min,+) product, vectorised in chunks over the inner
-    dimension."""
+    """Brute-force (min,+) product, vectorised in blocks of output rows.
+
+    Each block reduces its whole inner dimension straight into its rows of
+    the result, so the temporary holds at most :data:`_CHUNK_BUDGET`
+    elements, or one row's ``inner × cols`` when that alone is larger."""
     pram = pram or ambient()
     a = as_matrix(a)
     b = as_matrix(b)
@@ -57,12 +61,12 @@ def minplus_naive(a, b, pram: Optional[PRAM] = None) -> np.ndarray:
                 width=al * bc)
     if inner == 0:
         return np.full((al, bc), INF)
-    out = np.full((al, bc), INF)
-    chunk = max(1, _CHUNK_BUDGET // max(1, al * bc))
-    for k0 in range(0, inner, chunk):
-        k1 = min(inner, k0 + chunk)
-        block = a[:, k0:k1, None] + b[None, k0:k1, :]
-        np.minimum(out, block.min(axis=1), out=out)
+    out = np.empty((al, bc))
+    rows = max(1, _CHUNK_BUDGET // max(1, inner * bc))
+    for i0 in range(0, al, rows):
+        i1 = min(al, i0 + rows)
+        block = a[i0:i1, :, None] + b[None, :, :]
+        block.min(axis=1, out=out[i0:i1])
     return out
 
 

@@ -103,7 +103,7 @@ def _bucket_label(lo: int, hi: int) -> str:
 class BatchHistogram:
     """Power-of-two batch-size buckets: ``1``, ``2``, ``3-4``, ``5-8``, …
 
-    The interesting question about a micro-batching window is "do batches
+    The interesting question about micro-batching is "do batches
     actually fill, or is everything a batch of one?" — doubling buckets
     answer it in a handful of keys no matter the batch cap.
     """

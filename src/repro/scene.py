@@ -122,6 +122,7 @@ class Scene:
             extras = tuple((_coord(x), _coord(y)) for x, y in extra_points)
         except (TypeError, ValueError, OverflowError) as exc:
             raise GeometryError(f"bad extra point list: {exc}") from None
+        _check_float_exact(obs, container, extras)
         return cls(obs, container, extras)
 
     @classmethod
@@ -185,6 +186,7 @@ class Scene:
             # extra points to index (free-plane distances) — and must
             # round-trip, since from_obstacles/cluster specs allow it
             raise GeometryError("scene has no obstacles")
+        _check_float_exact(obstacles, container, extras)
         return cls(tuple(obstacles), container, extras)
 
     @classmethod
@@ -478,6 +480,57 @@ def _coord(v):
         raise ValueError(f"non-finite coordinate: {v!r}")
     i = int(f)
     return i if i == f else f
+
+
+#: float64 carries every integer of magnitude below this exactly
+_FLOAT_EXACT = 2 ** 53
+
+
+def _vertex_loop(o: Obstacle) -> Sequence[Point]:
+    if isinstance(o, Rect):
+        return ((o.xlo, o.ylo), (o.xhi, o.ylo), (o.xhi, o.yhi), (o.xlo, o.yhi))
+    return o.loop
+
+
+def _check_float_exact(
+    obstacles: Sequence[Obstacle],
+    container: Optional[RectilinearPolygon],
+    extras: Sequence[Point],
+) -> None:
+    """Reject a scene whose distances could leave float64's exact integers.
+
+    Distance matrices are float64.  Every shortest path stays inside the
+    scene's bounding box and detours at most once around each obstacle,
+    so its length is below ``width + height + sum of obstacle
+    perimeters``; that bound, and every coordinate, must stay under
+    ``2**53`` or answers would be silently rounded."""
+    loops = [[(int(x), int(y)) for x, y in _vertex_loop(o)] for o in obstacles]
+    pts = [p for loop in loops for p in loop]
+    if container is not None:
+        pts += [(int(x), int(y)) for x, y in container.loop]
+    # extra points may be fractional: widen each to its enclosing integers
+    pts += [(f(x), f(y)) for x, y in extras for f in (math.floor, math.ceil)]
+    if not pts:
+        return
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    big = max(map(abs, xs + ys))
+    if big >= _FLOAT_EXACT:
+        raise GeometryError(
+            f"coordinate magnitude {big} reaches 2**53; float64 distances "
+            f"cannot carry it exactly"
+        )
+    bound = max(xs) - min(xs) + max(ys) - min(ys) + sum(
+        abs(x1 - x0) + abs(y1 - y0)
+        for loop in loops
+        for (x0, y0), (x1, y1) in zip(loop, loop[1:] + loop[:1])
+    )
+    if bound >= _FLOAT_EXACT:
+        raise GeometryError(
+            f"scene length bound {bound} (bounding box width + height + "
+            f"obstacle perimeters) reaches 2**53; float64 distances "
+            f"cannot carry it exactly"
+        )
 
 
 def _integral(c) -> bool:

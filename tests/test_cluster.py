@@ -328,7 +328,7 @@ class TestClusterEndToEnd:
             scenes = {
                 name: {"obstacles": rects} for name, (rects, _) in scene_data.items()
             }
-            async with ClusterFrontend(scenes, workers=2, batch_window_ms=1.0) as fe:
+            async with ClusterFrontend(scenes, workers=2) as fe:
                 msgs, want = [], []
                 for name, (_, idx) in scene_data.items():
                     vs = idx.vertices()
@@ -412,7 +412,6 @@ class TestClusterEndToEnd:
                 workers=1,
                 queue_depth=1,
                 max_batch=1,
-                batch_window_ms=0.0,
             ) as fe:
                 reader, writer = await asyncio.open_connection(fe.host, fe.port)
                 n = 10
@@ -437,6 +436,71 @@ class TestClusterEndToEnd:
                 stats = fe.stats()["frontend"]
                 assert stats["sheds"] == len(shed)
                 assert fe.scene_metrics["a"].shed == len(shed)
+        asyncio.run(run())
+
+    def test_idle_worker_dispatches_batches_of_one(self, scene_data):
+        # work-conserving dispatch never waits for company: a closed loop
+        # on one connection leaves every request as its own batch
+        async def run():
+            rects, idx = scene_data["a"]
+            vs = idx.vertices()
+            async with ClusterFrontend({"a": {"obstacles": rects}}, workers=1) as fe:
+                reader, writer = await asyncio.open_connection(fe.host, fe.port)
+                n = 6
+                for i in range(n):
+                    await write_frame(
+                        writer,
+                        {"id": i, "op": "length", "scene": "a",
+                         "p": list(vs[i]), "q": list(vs[-1 - i])},
+                    )
+                    resp = await asyncio.wait_for(read_frame(reader), 30)
+                    assert resp["ok"] and resp["id"] == i
+                writer.close()
+                assert fe.batch_hist.as_dict() == {"1": n}
+                assert fe.workers[0].batches == n
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("k,max_batch", [(3, 64), (5, 4)])
+    def test_queued_requests_leave_together(self, scene_data, k, max_batch):
+        # requests that pile up behind an in-flight batch are drained into
+        # one batch of min(k, max_batch) the moment the pipe frees
+        async def run():
+            rects, idx = scene_data["a"]
+            vs = idx.vertices()
+            async with ClusterFrontend(
+                {"a": {"obstacles": rects}}, workers=1, max_batch=max_batch
+            ) as fe:
+                worker = fe.workers[0]
+                reader, writer = await asyncio.open_connection(fe.host, fe.port)
+                await write_frame(
+                    writer, {"id": 0, "op": "sleep", "scene": "a", "ms": 1000}
+                )
+                while worker.inflight == 0:
+                    await asyncio.sleep(0.005)
+                for i in range(1, k + 1):
+                    await write_frame(
+                        writer,
+                        {"id": i, "op": "length", "scene": "a", "trace": True,
+                         "p": list(vs[i]), "q": list(vs[-1 - i])},
+                    )
+                while worker.queue.qsize() < k:
+                    await asyncio.sleep(0.005)
+                assert worker.inflight == 1  # still behind the sleep
+                resps = [
+                    await asyncio.wait_for(read_frame(reader), 30)
+                    for _ in range(k + 1)
+                ]
+                writer.close()
+                assert all(r["ok"] for r in resps)
+                rpcs = [
+                    next(s for s in r["trace"]["spans"] if s["name"] == "worker_rpc")
+                    for r in resps[1:]
+                ]
+                first = min(k, max_batch)
+                sizes = [s["attrs"]["batch_size"] for s in rpcs]
+                assert sizes == [first] * first + [k - first] * (k - first)
+                assert len({s["attrs"]["seq"] for s in rpcs[:first]}) == 1
+                assert fe.batch_hist.items == k + 1
         asyncio.run(run())
 
     def test_stats_verb_shape(self, scene_data):
@@ -762,7 +826,7 @@ class TestClusterCLI:
                 [
                     "cluster", str(scene), "--workers", "1",
                     "--ready-file", str(ready), "--duration", "6",
-                    "--window-ms", "0.5", "--pin", "s=0",
+                    "--pin", "s=0",
                 ]
             )
 

@@ -160,6 +160,70 @@ class TestMinPlus:
         out = minplus_naive(np.zeros((2, 0)), np.zeros((0, 3)), PRAM())
         assert out.shape == (2, 3) and np.isinf(out).all()
 
+    @staticmethod
+    def inner_chunked_minplus(a, b, budget=4_000_000):
+        """The earlier naive product, chunked over the inner dimension —
+        the byte-for-byte reference for the row-blocked one."""
+        al, inner = a.shape
+        bc = b.shape[1]
+        out = np.full((al, bc), INF)
+        if inner == 0:
+            return out
+        chunk = max(1, budget // max(1, al * bc))
+        for k0 in range(0, inner, chunk):
+            k1 = min(inner, k0 + chunk)
+            block = a[:, k0:k1, None] + b[None, k0:k1, :]
+            np.minimum(out, block.min(axis=1), out=out)
+        return out
+
+    @pytest.mark.parametrize(
+        "case,al,inner,bc,inf_frac",
+        [
+            ("random", 30, 40, 50, 0.0),
+            ("inf-entries", 30, 40, 50, 0.3),
+            ("1xn", 1, 37, 90, 0.1),
+            ("nx1", 90, 37, 1, 0.1),
+            ("inner-0", 7, 0, 9, 0.0),
+            ("no-rows", 0, 5, 4, 0.0),
+            ("no-cols", 5, 4, 0, 0.0),
+            ("one-row", 4, 400, 400, 0.05),  # inner*bc > _CHUNK_BUDGET
+        ],
+    )
+    def test_row_blocked_naive_is_byte_identical(self, case, al, inner, bc, inf_frac):
+        from repro.monge.multiply import _CHUNK_BUDGET
+
+        assert (inner * bc > _CHUNK_BUDGET) == (case == "one-row")
+        rng = np.random.default_rng(al * 1000 + inner * 10 + bc)
+        a = rng.integers(0, 1000, (al, inner)).astype(float)
+        b = rng.integers(0, 1000, (inner, bc)).astype(float)
+        a[rng.random(a.shape) < inf_frac] = INF
+        b[rng.random(b.shape) < inf_frac] = INF
+        pram = PRAM()
+        got = minplus_naive(a, b, pram)
+        want = self.inner_chunked_minplus(a, b)
+        assert got.shape == want.shape == (al, bc)
+        assert got.tobytes() == want.tobytes()
+        # a tight inner-chunk budget walks the reference through many chunks
+        assert got.tobytes() == self.inner_chunked_minplus(a, b, budget=64).tobytes()
+        assert pram.work == al * bc * max(inner, 1)
+
+    def test_row_blocked_naive_memory_is_bounded(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(7)
+        a = rng.random((116, 193)) * 100
+        b = rng.random((193, 241)) * 100
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = minplus_naive(a, b, PRAM())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (116, 241)
+        assert peak <= 4 * 2**20, f"naive product peaked at {peak / 2**20:.1f} MB"
+
     def test_work_accounting_smawk_linear(self):
         """Lemma 3's work bound: the Monge path charges O(α(β+γ)), far less
         than the naive O(αβγ) on big inner dimensions."""

@@ -267,12 +267,18 @@ class TestStageCache:
                     {"version": 2, "rects": [[0, 0, 1, 1]],
                      "extra_points": [[bad, 0]]}
                 )
-        # huge integer coordinates stay exact (no float round trip)
-        big = 2**60 + 1
+        # integer coordinates stay exact (no float round trip) up to the
+        # float64 limit, and past it are rejected in one line
+        near = 2**52 + 1
         s = Scene.from_dict(
-            {"version": 2, "rects": [[0, 0, 1, 1]], "extra_points": [[big, 0]]}
+            {"version": 2, "rects": [[0, 0, 1, 1]], "extra_points": [[near, 0]]}
         )
-        assert s.extra_points == ((big, 0),)
+        assert s.extra_points == ((near, 0),)
+        with pytest.raises(GeometryError, match="2\\*\\*53"):
+            Scene.from_dict(
+                {"version": 2, "rects": [[0, 0, 1, 1]],
+                 "extra_points": [[2**60 + 1, 0]]}
+            )
 
     def test_export_arrays_keeps_huge_integer_points_exact(self):
         from repro.core.allpairs import DistanceIndex
@@ -340,12 +346,17 @@ class TestStageCache:
     def test_numpy_scalar_extras_hash_exactly(self):
         # two huge np.int64 extras one apart must not collapse through
         # float64 into the same hash (the cache would alias their solves)
+        # (the scene door rejects them — hashing is total regardless, so
+        # build the dataclass directly)
         big = 2**60
-        h1 = scene_of(extra_points=[(np.int64(big), 5)]).content_hash()
-        h2 = scene_of(extra_points=[(np.int64(big + 1), 5)]).content_hash()
+        obs = tuple(RECTS)
+        h1 = Scene(obs, None, ((np.int64(big), 5),)).content_hash()
+        h2 = Scene(obs, None, ((np.int64(big + 1), 5),)).content_hash()
         assert h1 != h2
         # and a numpy int hashes like the equal python int
-        assert h1 == scene_of(extra_points=[(big, 5)]).content_hash()
+        assert h1 == Scene(obs, None, ((big, 5),)).content_hash()
+        with pytest.raises(GeometryError, match="2\\*\\*53"):
+            scene_of(extra_points=[(np.int64(big), 5)])
 
     def test_float_coordinate_rects_hash_like_int_rects(self):
         a = Scene.from_obstacles([Rect(2.0, 2.0, 4.0, 8.0)])
@@ -542,6 +553,38 @@ class TestProvenance:
 
 # ----------------------------------------------------------------------
 class TestSceneLayer:
+    def test_coordinates_beyond_float64_exactness_rejected(self):
+        # distances are float64: a scene whose path lengths could reach
+        # 2**53 used to answer 13 (or 0) for a true length of 15
+        def pair(b):
+            return [Rect(b, b, b + 3, b + 5), Rect(b + 10, b, b + 13, b + 5)]
+
+        b = 2**53 - 14  # the largest offset the door accepts
+        idx = ShortestPathIndex.build(pair(b))
+        # both rects share their top and bottom lines, so every corner
+        # pair has a monotone free path: the answer is exact integer L1
+        corners = [(x, y) for r in pair(b) for x in (r.xlo, r.xhi)
+                   for y in (r.ylo, r.yhi)]
+        for p in corners:
+            for q in corners:
+                want = abs(p[0] - q[0]) + abs(p[1] - q[1])
+                assert idx.length(p, q) == want, (p, q)
+        for big in (2**53, 2**60):
+            with pytest.raises(GeometryError, match="2\\*\\*53"):
+                Scene.from_obstacles(pair(big))
+            with pytest.raises(GeometryError, match="2\\*\\*53"):
+                ShortestPathIndex.build(pair(big))
+        # small coordinates, but a span no float64 length can carry
+        wide = [Rect(-(2**52), 0, -(2**52) + 1, 1), Rect(2**52 - 1, 0, 2**52, 1)]
+        with pytest.raises(GeometryError, match="length bound"):
+            Scene.from_obstacles(wide)
+        with pytest.raises(GeometryError, match="length bound"):
+            Scene.from_dict(
+                {"rects": [[r.xlo, r.ylo, r.xhi, r.yhi] for r in wide]}
+            )
+        with pytest.raises(GeometryError, match="2\\*\\*53"):
+            Scene.from_obstacles(RECTS, extra_points=[(float(2**60), 0)])
+
     def test_bad_rect_row_message_identical_everywhere(self, tmp_path):
         bad = {"rects": [[0, 0, "x", 10]]}
         with pytest.raises(GeometryError) as api_exc:
