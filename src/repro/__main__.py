@@ -16,7 +16,9 @@ Commands
                                 latency runs, percentile reports
 ``fuzz``                        differential fuzz smoke: cross-check the
                                 parallel/sequential/baseline engines on
-                                random mixed rect+polygon scenes
+                                random mixed rect+polygon scenes, each
+                                rect scene also against its twin moved to
+                                just under the 2**53 coordinate bound
                                 (``--engine`` adds another registered
                                 engine to the comparison)
 ``plan SCENE [--json]``         run the staged build pipeline and print
@@ -589,8 +591,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Differential fuzz smoke: random mixed scenes, the default engine
-    set (parallel, sequential, parallel-mp) plus any ``--engine``."""
-    from repro.core.crosscheck import check_scene, shrink_scene
+    set (parallel, sequential, parallel-mp) plus any ``--engine``.  Every
+    pure-rectangle scene is also checked against its twin translated to
+    just under the ``2**53`` coordinate bound (translation invariance is
+    the exact-integer referee there)."""
+    from repro.core.crosscheck import check_scene, shrink_scene, top_offset
     from repro.workloads.generators import (
         random_container_polygon,
         random_disjoint_rects,
@@ -689,7 +694,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
             _, _, all_rects, _ = split_obstacles(obstacles)
             container = random_container_polygon(all_rects, seed=seed)
-        problems = check_scene(obstacles, container, seed=seed, engines=engines)
+        def problems_of(obs, cont):
+            # large-offset family: a rect scene moved to just under the
+            # front door's 2**53 bound must answer byte-for-byte alike
+            offset = top_offset(obs) if kind == 0 and obs else None
+            return check_scene(obs, cont, seed=seed, engines=engines, offset=offset)
+
+        problems = problems_of(obstacles, container)
         label = ("rects", "mixed", "polygons", "container")[kind]
         if not problems:
             print(f"scene {i:3d} [{label:9s}] ok ({len(obstacles)} obstacles)")
@@ -698,9 +709,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"scene {i:3d} [{label:9s}] FAILED: {problems[0]}")
         small, small_container = shrink_scene(
             obstacles, container,
-            lambda obs, cont: bool(
-                check_scene(obs, cont, seed=seed, engines=engines)
-            ),
+            lambda obs, cont: bool(problems_of(obs, cont)),
         )
         out = pathlib.Path(args.out_dir) / f"fuzz_fail_{seed}.json"
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -47,10 +47,9 @@ from repro.geometry.decompose import (
     staircase_clear_of_seams,
 )
 from repro.geometry.primitives import Point, Rect, bbox_of_points, dist, validate_disjoint
-from repro.geometry.rayshoot import RayShooter
 from repro.geometry.staircase import Staircase
 from repro.monge.matrix import MongeFlag
-from repro.monge.multiply import minplus_monge, minplus_naive
+from repro.monge.multiply import _CHUNK_BUDGET, minplus_monge, minplus_naive
 from repro.pram.machine import PRAM, ambient
 
 INF = float("inf")
@@ -222,9 +221,16 @@ class DistanceIndex:
         return len(self.points)
 
 
-def _arc_pos(p: Point, increasing: bool) -> int:
-    """Arc-length parameter along a monotone staircase (x+y or x−y)."""
-    return p[0] + p[1] if increasing else p[0] - p[1]
+def _arc_pos(p: Point, chain: Staircase):
+    """Arc-length parameter along a monotone staircase (x+y or x−y),
+    measured from the chain's first corner.  The differences are taken on
+    the exact coordinates, before any float cast: an absolute ``x ± y``
+    can reach ``2**53`` on scenes the front door accepts and would round,
+    a position relative to the chain is bounded by the scene's width +
+    height."""
+    bx, by = chain.pts[0]
+    dy = p[1] - by
+    return (p[0] - bx) + (dy if chain.increasing else -dy)
 
 
 def block_minplus(
@@ -676,7 +682,7 @@ class ParallelEngine:
         out[np.ix_(sel_l, sel_l)] = np.minimum(
             out[np.ix_(sel_l, sel_l)], matL[np.ix_(lid, lid)]
         )
-        t = np.array([_arc_pos(z, chain.increasing) for z in zs], dtype=float)
+        t = np.array([_arc_pos(z, chain) for z in zs], dtype=float)
         zu = [iu[z] for z in zs]
         zl = [il[z] for z in zs]
         DU = matU[np.ix_(uid, zu)]
@@ -808,7 +814,7 @@ class ParallelEngine:
             work=2 * (len(xs) + len(ys)) + len(chain.pts),
             width=len(xs) + len(ys),
         )
-        zs = sorted(out, key=lambda p: _arc_pos(p, chain.increasing))
+        zs = sorted(out, key=lambda p: _arc_pos(p, chain))
         cid = self._fresh_chain_id()
         for k, z in enumerate(zs):
             self._chain_tags.setdefault(z, (cid, k))
@@ -847,7 +853,7 @@ class ParallelEngine:
         )
         self.stats.conquer_pairs += len(rows_u) * len(rows_l)
         # cross pairs through the separator
-        t = np.array([_arc_pos(z, chain.increasing) for z in zs], dtype=float)
+        t = np.array([_arc_pos(z, chain) for z in zs], dtype=float)
         zu = [iu[z] for z in zs]
         zl = [il[z] for z in zs]
         DU = matU[np.ix_(uid, zu)]  # upper-side point -> separator
@@ -901,9 +907,11 @@ class ParallelEngine:
     ) -> np.ndarray:
         """Per-pair candidates (c): each endpoint's own visible grid-line
         projections onto the separator (see module docstring)."""
-        shooter = RayShooter(sub_rects)
-        su = _projection_table(rows_u, chain, shooter, toward=-1, seams=self.seams)
-        sl = _projection_table(rows_l, chain, shooter, toward=+1, seams=self.seams)
+        boxes = np.array(
+            [(r.xlo, r.ylo, r.xhi, r.yhi) for r in sub_rects], dtype=float
+        ).reshape(-1, 4)
+        su = _projection_table(rows_u, chain, boxes, self.seams)
+        sl = _projection_table(rows_l, chain, boxes, self.seams)
         pram.step(2 * (len(rows_u) + len(rows_l)))
         nz = len(zs)
         # (i) upper special -> neighbouring core z -> lower point
@@ -950,51 +958,90 @@ class _Specials:
 def _projection_table(
     points: list[Point],
     chain: Staircase,
-    shooter: RayShooter,
-    toward: int,
+    boxes: np.ndarray,
     seams: Sequence = (),
 ) -> _Specials:
     """For each point: its vertical and horizontal grid-line crossings with
     the separator, with straight L1 distance when the view is clear.
 
-    ``toward=-1`` means the points are on the chain's +1 side and look
-    toward it (down for the vertical projection of an upper point, etc.).
-    A vertical view must additionally clear the polygon seams — it could
-    run straight along one (horizontal views can only cross seams, which
-    the rectangle shooter already blocks via the flanking tiles).
+    One array pass over all points (each projection is an independent
+    query, one data-parallel step of the conquer).  The crossings are
+    :meth:`Staircase.crossings_at_x` / ``crossings_at_y``, and a view is clear
+    exactly when a first-hit ray shot toward the crossing lands no nearer
+    than it (:func:`_views_blocked` over ``boxes``, the sub-scene's
+    ``(k, 4)`` ``xlo, ylo, xhi, yhi`` rows).  A vertical view must
+    additionally clear the polygon seams — it could run straight along one
+    (horizontal views can only cross seams, which the rectangles already
+    block via the flanking tiles).
     """
     m = len(points)
-    tarr = np.full((m, 2), 0.0)
+    tarr = np.zeros((m, 2))
     varr = np.full((m, 2), INF)
-    inc = chain.increasing
-    for i, p in enumerate(points):
-        for k, crossings in enumerate(
-            (chain.crossings_with_vline(p[0]), chain.crossings_with_hline(p[1]))
-        ):
-            if not crossings:
-                continue
-            # nearest crossing on the segment from p toward the chain
-            z = min(crossings, key=lambda c: dist(p, c))
-            tarr[i, k] = _arc_pos(z, inc)
-            d = dist(p, z)
-            if d == 0:
-                varr[i, k] = 0.0
-                continue
-            if k == 0 and seams and seams_block_v_segment(
-                seams, p[0], p[1], z[1]
-            ):
-                continue
-            direction = _dir_toward(p, z)
-            hit = shooter.shoot(p, direction)
-            if hit is None or dist(p, hit.point) >= d:
-                varr[i, k] = float(d)
+    if m == 0:
+        return _Specials(tarr, varr)
+    pa = np.array(points, dtype=float).reshape(m, 2)
+    px, py = pa[:, 0], pa[:, 1]
+    bx, by = (float(c) for c in chain.pts[0])
+    sgn = 1.0 if chain.increasing else -1.0
+    for k, (ok, z) in enumerate(
+        (chain.crossings_at_x(px, py), chain.crossings_at_y(py, px))
+    ):
+        if k == 0:
+            d = np.abs(py - z)
+            t = (px - bx) + sgn * (z - by)
+            c, s = px, py
+            across, along = boxes[:, [0, 2]], boxes[:, [1, 3]]
+        else:
+            d = np.abs(px - z)
+            t = (z - bx) + sgn * (py - by)
+            c, s = py, px
+            across, along = boxes[:, [1, 3]], boxes[:, [0, 2]]
+        tarr[ok, k] = t[ok]
+        look = np.flatnonzero(ok & (d > 0))
+        blocked = _views_blocked(c[look], s[look], z[look], across, along)
+        d[look[blocked]] = INF
+        if k == 0 and seams:
+            for i in look[~blocked]:
+                x, y = points[i]
+                if seams_block_v_segment(seams, x, y, int(z[i])):
+                    d[i] = INF
+        varr[ok, k] = d[ok]
     return _Specials(tarr, varr)
 
 
-def _dir_toward(p: Point, z: Point) -> str:
-    if p[0] == z[0]:
-        return "N" if z[1] > p[1] else "S"
-    return "E" if z[0] > p[0] else "W"
+def _views_blocked(
+    c: np.ndarray,
+    s: np.ndarray,
+    e: np.ndarray,
+    across: np.ndarray,
+    along: np.ndarray,
+) -> np.ndarray:
+    """Which axis-parallel views are blocked: view ``i`` runs at cross
+    coordinate ``c[i]`` from ``s[i]`` to ``e[i] != s[i]``; ``across`` and
+    ``along`` are the rectangles' ``(lo, hi)`` spans in the two axes.
+
+    A view is blocked iff a rectangle straddles ``c`` strictly and its
+    near edge lies in ``[s, e)`` — the first-hit ray from ``s`` lands
+    nearer than ``e``.  A backward view is the forward one with the along
+    axis negated.  Blocked in row chunks so the ``(views, k)`` temporaries
+    stay under :data:`_CHUNK_BUDGET` elements.
+    """
+    out = np.zeros(len(c), dtype=bool)
+    if not len(c) or not len(across):
+        return out
+    fwd = e > s
+    s = np.where(fwd, s, -s)
+    e = np.where(fwd, e, -e)
+    step = max(1, _CHUNK_BUDGET // len(across))
+    for i0 in range(0, len(c), step):
+        sl = slice(i0, i0 + step)
+        near = np.where(fwd[sl, None], along[:, 0], -along[:, 1])
+        cc = c[sl, None]
+        hit = (across[:, 0] < cc) & (cc < across[:, 1])
+        hit &= s[sl, None] <= near
+        hit &= near < e[sl, None]
+        out[sl] = hit.any(axis=1)
+    return out
 
 
 def build_vertex_index(

@@ -33,12 +33,14 @@ from repro.core.api import Obstacle, ShortestPathIndex, split_obstacles
 from repro.core.baseline import GridOracle, path_is_clear, path_length
 from repro.errors import ReproError
 from repro.geometry.polygon import RectilinearPolygon
+from repro.geometry.primitives import Rect
 
 __all__ = [
     "check_links",
     "check_scene",
     "check_update",
     "shrink_scene",
+    "top_offset",
     "validate_path",
 ]
 
@@ -129,13 +131,24 @@ def check_scene(
     n_arbitrary: int = 4,
     seed: int = 0,
     engines: Sequence[str] = DEFAULT_ENGINES,
+    offset: Optional[int] = None,
 ) -> list[str]:
     """Differentially check one scene; returns problems (empty = agree).
 
     ``engines`` names the registered engines to build and compare (the
     first is the reference the baseline oracle and arbitrary-point
-    queries are checked against).
+    queries are checked against).  With ``offset``, a scene of bare
+    rectangles (no container, no extra points) that passes is also
+    checked against its twin moved by ``(offset, offset)``: every engine's
+    answers must not change (see :func:`top_offset` for the largest such
+    move).
     """
+    if offset is not None and (
+        container is not None
+        or extra_points
+        or not all(isinstance(o, Rect) for o in obstacles)
+    ):
+        raise ValueError("offset needs a scene of bare rectangles")
     rng = random.Random(f"xcheck|{seed}")
     engines = list(dict.fromkeys(engines)) or list(DEFAULT_ENGINES)
     idxs: dict[str, ShortestPathIndex] = {}
@@ -232,6 +245,8 @@ def check_scene(
                 problems.append(
                     f"arbitrary query d({p}, {q}) = {got}, oracle says {want}"
                 )
+    if offset is not None and not problems and obstacles:
+        problems += _translated_twin_problems(obstacles, idxs, offset, seed)
     return problems
 
 
@@ -485,11 +500,15 @@ def check_update(
     return []
 
 
+#: how far outside the obstacles' bounding box free query points are drawn
+_FREE_MARGIN = 2
+
+
 def _free_points(idx: ShortestPathIndex, k: int, rng: random.Random) -> list:
-    xlo = min(r.xlo for r in idx.rects) - 2
-    ylo = min(r.ylo for r in idx.rects) - 2
-    xhi = max(r.xhi for r in idx.rects) + 2
-    yhi = max(r.yhi for r in idx.rects) + 2
+    xlo = min(r.xlo for r in idx.rects) - _FREE_MARGIN
+    ylo = min(r.ylo for r in idx.rects) - _FREE_MARGIN
+    xhi = max(r.xhi for r in idx.rects) + _FREE_MARGIN
+    yhi = max(r.yhi for r in idx.rects) + _FREE_MARGIN
     out: list = []
     for _ in range(40 * (k + 1)):
         if len(out) >= k:
@@ -502,6 +521,89 @@ def _free_points(idx: ShortestPathIndex, k: int, rng: random.Random) -> list:
         if p not in out:
             out.append(p)
     return out
+
+
+def top_offset(rects: Sequence[Rect]) -> int:
+    """The largest translation that keeps ``rects`` — and the free query
+    points drawn around them — under the front door's ``2**53`` bound."""
+    extent = max(max(r.xhi, r.yhi) for r in rects) + _FREE_MARGIN
+    return 2**53 - extent - 1
+
+
+#: free query points and reported paths compared with the translated twin
+_TWIN_FREE = 4
+_TWIN_PATHS = 4
+
+
+def _translated_twin_problems(
+    rects: Sequence[Rect],
+    idxs: dict[str, ShortestPathIndex],
+    offset: int,
+    seed: int,
+) -> list[str]:
+    """Translation invariance as an exact-integer referee at large offsets.
+
+    Shortest-path lengths do not change under translation, and both twins
+    hold exact integers, so each engine's index of the scene moved by
+    ``(offset, offset)`` must answer byte-for-byte what its untranslated
+    index of ``rects`` in ``idxs`` answers: the vertex matrix, batched lengths between
+    free points and vertices, and the lengths of reported paths.
+    ``GridOracle`` works in floats and cannot referee coordinates near
+    ``2**53``; the twin at small coordinates can.
+    """
+    b = int(offset)
+    moved = [Rect(r.xlo + b, r.ylo + b, r.xhi + b, r.yhi + b) for r in rects]
+
+    def shift(p):
+        return (p[0] + b, p[1] + b)
+
+    problems: list[str] = []
+    for name, near in idxs.items():
+        rng = random.Random(f"shift|{seed}|{name}")
+        try:
+            far = ShortestPathIndex.build(moved, engine=name)
+        except ReproError as exc:
+            problems.append(f"{name} at offset {b}: build failed: {exc}")
+            continue
+        pts = list(near.index.points)
+        if [shift(p) for p in pts] != list(far.index.points):
+            problems.append(f"{name} at offset {b}: vertex orders differ")
+            continue
+        if near.index.matrix.tobytes() != far.index.matrix.tobytes():
+            problems += _matrix_diff(
+                name, near.index.matrix, pts,
+                f"{name} at offset {b}", far.index.matrix, pts,
+            ) or [f"{name} at offset {b}: matrices differ in bytes"]
+            continue
+        free = _free_points(near, _TWIN_FREE, rng)
+        ends = free + rng.sample(pts, min(len(pts), _TWIN_FREE))
+        pairs = [(p, q) for p in free for q in ends if p != q]
+        if pairs:
+            got = np.asarray(near.lengths(pairs), dtype=float)
+            want = np.asarray(
+                far.lengths([(shift(p), shift(q)) for p, q in pairs]), dtype=float
+            )
+            bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            if bad.size:
+                i = int(bad[0])
+                p, q = pairs[i]
+                problems.append(
+                    f"{name} at offset {b}: d({p}, {q}) = {got[i]}, "
+                    f"translated twin says {want[i]}"
+                )
+        for p, q in rng.sample(pairs, min(_TWIN_PATHS, len(pairs))):
+            try:
+                la = path_length(near.shortest_path(p, q))
+                lb = path_length(far.shortest_path(shift(p), shift(q)))
+            except ReproError as exc:
+                problems.append(f"{name} at offset {b}: path {p} -> {q} failed: {exc}")
+                continue
+            if la != lb:
+                problems.append(
+                    f"{name} at offset {b}: path {p} -> {q} has length {la}, "
+                    f"translated twin's has {lb}"
+                )
+    return problems
 
 
 def shrink_scene(

@@ -150,6 +150,9 @@ class ParallelMPEngine(ParallelEngine):
                 self._dispatch(tasks)
                 for node in resolved:
                     self._bubble(node)
+                # from here each unmerged node is held by its parent (or
+                # by ``_pending``) only, and freed once merged
+                del tasks, resolved
                 while root.result is None:
                     if self._arrived:
                         # a solve result that landed while a conquer was
@@ -417,6 +420,11 @@ class ParallelMPEngine(ParallelEngine):
             )
         node.aux = (node.chain_sig, tuple(node.zs))
         self._deposit(node)
+        # merged: drop the plan-tree links so the children (and their
+        # matrices) go with refcounting, not with a later cyclic GC pass
+        for kid in node.children:
+            kid.parent = None
+        node.children = None
 
     # ------------------------------------------------------------------
     def _offload_block(self, DU, block, certify):

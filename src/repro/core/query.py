@@ -110,13 +110,16 @@ class _QueryWorld:
         self.t = t
         self.inv = t.inverse()
         self.rects = t.apply_rects(list(rects))
-        self.shooter = RayShooter(self.rects)
         if ne_parents is None:
-            # derive the NE forest by tracing (the expensive path)
-            self.parents = TraceForests(self.rects).parents("NE")
+            # derive the NE forest by tracing (the lazy forests trace only
+            # NE); the world shares the forests' ray shooter
+            forests = TraceForests(self.rects)
+            self.shooter = forests.shooter
+            self.parents = forests.parents("NE")
         else:
             # snapshot fast path: the forest was persisted, only the ray
-            # shooter (cheap, shared with the forests anyway) is rebuilt
+            # shooter is rebuilt
+            self.shooter = RayShooter(self.rects)
             self.parents = list(ne_parents)
 
     def ne_chain(self, q: Point, nmax: int) -> _ImplicitPath:

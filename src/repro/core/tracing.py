@@ -85,6 +85,12 @@ class TraceForests:
     ``parent(mode, i)`` is the obstacle the path runs into after rounding
     obstacle ``i`` (None when it escapes to infinity) — the forest the
     paper builds from the trapezoidal decomposition of [4].
+
+    Parents are computed on demand and memoized: a separator traces two to
+    four modes from one or two points, so it touches a few parent pointers,
+    never all ``8 n``.  The PRAM charges stay in the constructor — they
+    model the paper's eager construction of every forest, not the Python
+    work this object happens to do.
     """
 
     def __init__(self, rects: Sequence[Rect], pram: Optional[PRAM] = None) -> None:
@@ -94,18 +100,21 @@ class TraceForests:
         self.shooter = RayShooter(self.rects)
         # segment-tree construction: O(log n) time, O(n log n) work
         pram.charge(time=pram.log2ceil(n or 1), work=4 * n * pram.log2ceil(n or 1), width=4 * n)
-        self._parents: dict[str, list[Optional[int]]] = {}
-        for mode, (primary, detour) in MODES.items():
-            parents: list[Optional[int]] = []
-            pram.step(n)
-            for r in self.rects:
-                corner = _resume_corner(r, primary, detour)
-                hit = self.shooter.shoot(corner, primary)
-                parents.append(None if hit is None else hit.rect_index)
-            self._parents[mode] = parents
+        for _ in MODES:
+            pram.step(n)  # one parent pointer per obstacle and mode
+        self._parents: dict[str, dict[int, Optional[int]]] = {m: {} for m in MODES}
+
+    def parent(self, mode: str, i: int) -> Optional[int]:
+        """The obstacle ``mode``'s path hits after rounding obstacle ``i``."""
+        memo = self._parents[mode]
+        if i not in memo:
+            primary, detour = MODES[mode]
+            hit = self.shooter.shoot(_resume_corner(self.rects[i], primary, detour), primary)
+            memo[i] = None if hit is None else hit.rect_index
+        return memo[i]
 
     def parents(self, mode: str) -> list[Optional[int]]:
-        return self._parents[mode]
+        return [self.parent(mode, i) for i in range(len(self.rects))]
 
     # ------------------------------------------------------------------
     def trace(self, p: Point, mode: str, pram: Optional[PRAM] = None) -> TracedPath:
@@ -126,7 +135,6 @@ class TraceForests:
         # one ray shot attaches p to the forest; the rest of the path is the
         # root chain of parent pointers (Lemma 6's Euler-tour extraction)
         hit = self.shooter.shoot(p, primary)
-        parents = self._parents[mode]
         axis = 0 if primary in ("N", "S") else 1
         cur: Optional[int] = None if hit is None else hit.rect_index
         prev_corner: Point = p
@@ -143,7 +151,7 @@ class TraceForests:
             if corner != pts[-1]:
                 pts.append(corner)
             prev_corner = corner
-            cur = parents[cur]
+            cur = self.parent(mode, cur)
         pram.charge(time=pram.log2ceil(len(self.rects) or 1), work=max(1, len(pts)))
         return TracedPath(mode, pts, primary)
 

@@ -11,6 +11,11 @@ after ``O(n log n)`` preprocessing — the same preprocessing/query trade the
 paper gets from [4] (its point-location queries are ``O(log n)``; the extra
 log factor here is irrelevant to every bound we measure).
 
+The four direction trees are built lazily, each on its direction's first
+shot.  That is a saving in Python work only: callers that meter the
+preprocessing (:class:`repro.core.tracing.TraceForests`) still charge the
+simulated PRAM for the eager Lemma 6 construction of all of them.
+
 Obstacle *interiors* are opaque; boundaries are not.  A ray starting on the
 near boundary of a rectangle hits it at distance zero; a ray grazing along
 an edge (query coordinate equal to ``xlo``/``xhi``) does not hit.
@@ -99,17 +104,30 @@ class _NorthShooter:
 
 
 class RayShooter:
-    """Four-direction first-hit queries against a fixed obstacle set."""
+    """Four-direction first-hit queries against a fixed obstacle set.
+
+    Each direction's segment tree is built on that direction's first shot,
+    so a caller that only ever shoots north pays for one tree, not four.
+    Shooters are shared across serving threads: two threads racing on a
+    first shot may both build the (identical) tree, and one of the two
+    simply wins the dict slot.
+    """
 
     def __init__(self, rects: Sequence[Rect]) -> None:
         self.rects = list(rects)
         self._shooters: dict[str, _NorthShooter] = {}
-        self._worlds: dict[str, list[Rect]] = {}
-        for d, t in _DIR_TRANSFORMS.items():
-            world = t.apply_rects(self.rects)
-            self._worlds[d] = world
-            self._shooters[d] = _NorthShooter(world)
-        self._transforms = _DIR_TRANSFORMS
+
+    def _shooter(self, direction: str) -> _NorthShooter:
+        shooter = self._shooters.get(direction)
+        if shooter is None:
+            try:
+                t = _DIR_TRANSFORMS[direction]
+            except KeyError:
+                raise GeometryError(f"unknown direction {direction!r}") from None
+            shooter = self._shooters.setdefault(
+                direction, _NorthShooter(t.apply_rects(self.rects))
+            )
+        return shooter
 
     def shoot(self, p: Point, direction: str) -> Optional[Hit]:
         """First obstacle hit by the ray from ``p`` in ``direction``.
@@ -118,11 +136,8 @@ class RayShooter:
         shoots from inside one); shots from a boundary point toward the
         interior report the same obstacle at distance zero.
         """
-        try:
-            t = self._transforms[direction]
-            shooter = self._shooters[direction]
-        except KeyError:
-            raise GeometryError(f"unknown direction {direction!r}") from None
+        shooter = self._shooter(direction)
+        t = _DIR_TRANSFORMS[direction]
         qx, qy = t.apply(p)
         res = shooter.query(qx, qy)
         if res is None:

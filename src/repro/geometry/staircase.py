@@ -19,6 +19,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import GeometryError
 from repro.geometry.primitives import Point, Rect, Transform, dist
 
@@ -26,6 +28,18 @@ NEG = -math.inf
 POS = math.inf
 
 _RAY_VECTOR = {"W": (-1, 0), "E": (1, 0), "N": (0, 1), "S": (0, -1)}
+
+
+def _nearest_crossing(
+    present: np.ndarray, lo: np.ndarray, hi: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of the crossing-list filter plus ``min`` by distance:
+    ``lo`` / ``hi`` count when integral (``hi`` only when distinct), the one
+    nearer ``q`` wins and ``lo`` wins a tie.  Returns ``(ok, coordinate)``."""
+    ok_lo = present & np.isfinite(lo) & (lo == np.floor(lo))
+    ok_hi = present & (hi != lo) & np.isfinite(hi) & (hi == np.floor(hi))
+    take_lo = ok_lo & (~ok_hi | (np.abs(q - lo) <= np.abs(q - hi)))
+    return ok_lo | ok_hi, np.where(take_lo, lo, hi)
 
 
 def _dedupe(pts: Sequence[Point]) -> list[Point]:
@@ -354,6 +368,86 @@ class Staircase:
         if xmax != xmin and xmax not in (NEG, POS) and xmax == int(xmax):
             out.append((int(xmax), y))
         return out
+
+    def _corner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        pa = np.array(self.pts, dtype=float).reshape(-1, 2)
+        return pa[:, 0], pa[:, 1]
+
+    def crossings_at_x(
+        self, x: np.ndarray, q: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Array :meth:`crossings_with_vline`, nearest crossing kept.
+
+        For every vertical line ``x[i]``: whether it meets the chain at an
+        integral point, and the y of the crossing nearest ``q[i]`` (the
+        lower one on a tie, as ``min`` over the crossing list picks).  The
+        same rules as :meth:`y_range_at_x` — end rays, lines beyond the
+        corner extents — in one ``searchsorted`` pass.  Returns
+        ``(ok, y)``."""
+        cx, cy = self._corner_arrays()
+        n = len(cx)
+        lo = np.searchsorted(cx, x, "left")
+        hi = np.searchsorted(cx, x, "right")
+        # the chain's y extent over the corners at x plus the segment into x
+        ya = cy[np.clip(lo - 1, 0, n - 1)]
+        yb = cy[np.clip(hi - 1, 0, n - 1)]
+        ymin, ymax = np.minimum(ya, yb), np.maximum(ya, yb)
+        present = (x >= cx[0]) & (x <= cx[-1])
+        if self.left_dir == "S":
+            ymin = np.where(x == cx[0], NEG, ymin)
+        if self.left_dir == "N":
+            ymax = np.where(x == cx[0], POS, ymax)
+        if self.right_dir == "S":
+            ymin = np.where(x == cx[-1], NEG, ymin)
+        if self.right_dir == "N":
+            ymax = np.where(x == cx[-1], POS, ymax)
+        # beyond the corner extents only a horizontal end ray meets the line
+        if self.left_dir == "W":
+            west = x < cx[0]
+            ymin, ymax = np.where(west, cy[0], ymin), np.where(west, cy[0], ymax)
+            present = present | west
+        if self.right_dir == "E":
+            east = x > cx[-1]
+            ymin, ymax = np.where(east, cy[-1], ymin), np.where(east, cy[-1], ymax)
+            present = present | east
+        return _nearest_crossing(present, ymin, ymax, q)
+
+    def crossings_at_y(
+        self, y: np.ndarray, q: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Array :meth:`crossings_with_hline`, nearest crossing kept:
+        :meth:`crossings_at_x` for horizontal lines ``y[i]`` (rules of
+        :meth:`x_range_at_y`; the left crossing wins a tie).  Returns
+        ``(ok, x)``."""
+        inc = self.increasing
+        cx, cy = self._corner_arrays()
+        n = len(cx)
+        # corner ys sorted ascending along the index (negated when decreasing)
+        key, qy = (cy, y) if inc else (-cy, -y)
+        a = np.searchsorted(key, qy, "left")
+        b = np.searchsorted(key, qy, "right")
+        # corners at y, else the vertical segment strictly across y
+        at = a < b
+        xmin = np.where(at, cx[np.clip(a, 0, n - 1)], cx[np.clip(a - 1, 0, n - 1)])
+        xmax = np.where(at, cx[np.clip(b - 1, 0, n - 1)], xmin)
+        ylo, yhi = min(cy[0], cy[-1]), max(cy[0], cy[-1])
+        present = (y >= ylo) & (y <= yhi)
+        if self.left_dir == "W":
+            xmin = np.where(y == cy[0], NEG, xmin)
+        if self.right_dir == "E":
+            xmax = np.where(y == cy[-1], POS, xmax)
+        # beyond the corner extents only a vertical end ray meets the line
+        if (self.left_dir if inc else self.right_dir) == "S":
+            south = y < ylo
+            xs = cx[0] if inc else cx[-1]
+            xmin, xmax = np.where(south, xs, xmin), np.where(south, xs, xmax)
+            present = present | south
+        if (self.right_dir if inc else self.left_dir) == "N":
+            north = y > yhi
+            xn = cx[-1] if inc else cx[0]
+            xmin, xmax = np.where(north, xn, xmin), np.where(north, xn, xmax)
+            present = present | north
+        return _nearest_crossing(present, xmin, xmax, q)
 
     def clip_points_to_bbox(
         self, xlo: int, ylo: int, xhi: int, yhi: int

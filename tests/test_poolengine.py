@@ -10,6 +10,7 @@ clean (a dead worker is a one-line ``EngineError``, never a hang, and
 never a leaked ``/dev/shm`` segment or orphaned process).
 """
 
+import gc
 import os
 import subprocess
 import time
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.allpairs import ParallelEngine
-from repro.core.mpengine import ParallelMPEngine
+from repro.core.mpengine import ParallelMPEngine, _Node
 from repro.core.pool import WorkerPool, default_jobs, get_pool, shutdown_pool
 from repro.errors import EngineError
 from repro.geometry.primitives import Rect
@@ -335,3 +336,28 @@ def test_task_minplus_inline_matches_direct_product():
     assert body["fast"] == 0
     body2, arrays2 = _task_minplus({"a": a, "b": b, "certify": True})
     assert np.array_equal(arrays2["matrix"], ref)  # naive/monge agree
+
+
+def test_build_leaves_no_plan_tree_in_a_cycle():
+    """The plan tree is unlinked as it merges: with the cyclic GC off, a
+    build and the release of its index leave no plan-tree node for a
+    collection to find (merged subtrees are freed by refcounting as they
+    go).  Other cycles anywhere in the interpreter are not this test's
+    business, so only ``_Node`` objects are looked for."""
+    build_index(_rect_scene(56, 3), engine="parallel-mp", jobs=2,
+                cache=StageCache(max_entries=0))  # warm the pool
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        idx = build_index(_rect_scene(56, 4), engine="parallel-mp", jobs=2,
+                          cache=StageCache(max_entries=0))
+        assert idx.provenance["pool"]["inline"] is False
+        del idx
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, _Node)]
+        assert left == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

@@ -2,6 +2,9 @@
 
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +14,29 @@ from repro.geometry.primitives import Rect, dist
 from repro.geometry.rayshoot import RayShooter, brute_force_shoot
 from repro.geometry.trapezoid import hit_sets, trapezoidal_decomposition
 from repro.workloads.generators import random_disjoint_rects, random_free_points
+
+
+def test_concurrent_first_shots_agree_with_brute_force():
+    """Direction trees are built on first use; threads racing on the
+    first shot of each direction all get the right answers."""
+    rects = random_disjoint_rects(60, seed=5)
+    pts = random_free_points(rects, 40, seed=5)
+    shooter = RayShooter(rects)
+    start = threading.Barrier(8, timeout=30)
+
+    def shots(direction):
+        start.wait()
+        return [shooter.shoot(p, direction) for p in pts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: make races likely
+    try:
+        with ThreadPoolExecutor(8) as ex:
+            got = list(ex.map(shots, "NSEWNSEW", timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for direction, answers in zip("NSEWNSEW", got):
+        assert answers == [brute_force_shoot(rects, p, direction) for p in pts]
 
 
 class TestRayShooter:

@@ -5,11 +5,13 @@ import pytest
 from repro.core.tracing import (
     MODES,
     TraceForests,
+    _resume_corner,
     combine_traces,
     trace_heading,
 )
 from repro.errors import GeometryError
 from repro.geometry.primitives import Rect, dist
+from repro.geometry.rayshoot import brute_force_shoot
 from repro.geometry.staircase import Staircase
 from repro.pram import PRAM
 from repro.workloads.generators import random_disjoint_rects, random_free_points
@@ -109,6 +111,42 @@ class TestTrace:
         assert len(paths) == 4 * len(rects)
         for v, tp in paths.items():
             assert tp.origin == v
+
+
+class TestLazyForests:
+    """Parents are computed on first use; the answers and the PRAM
+    charges are those of the eager Lemma 6 construction."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parents_match_eager_brute_force(self, seed):
+        rects = random_disjoint_rects(40, seed=seed)
+        forests = TraceForests(rects, PRAM())
+        for mode, (primary, detour) in MODES.items():
+            want = []
+            for r in rects:
+                hit = brute_force_shoot(rects, _resume_corner(r, primary, detour), primary)
+                want.append(None if hit is None else hit.rect_index)
+            assert forests.parents(mode) == want
+            assert [forests.parent(mode, i) for i in range(len(rects))] == want
+
+    def test_pram_charges_model_eager_construction(self):
+        rects = random_disjoint_rects(24, seed=1)
+        n = len(rects)
+        untouched, used = PRAM(), PRAM()
+        TraceForests(rects, untouched)
+        forests = TraceForests(rects, used)
+        for mode in MODES:
+            forests.parents(mode)
+        lg = untouched.log2ceil(n)
+        for pram in (untouched, used):
+            assert (pram.time, pram.work, pram.max_ops) == (lg + 8, 4 * n * lg + 8 * n, 4 * n)
+
+    def test_trace_builds_only_what_it_shoots(self):
+        rects = random_disjoint_rects(30, seed=2)
+        forests = TraceForests(rects, PRAM())
+        tp = forests.trace((-5, -5), "NE", PRAM())
+        assert tp.ray_dir == "N"
+        assert set(forests.shooter._shooters) == {"N"}
 
 
 class TestLemma12SingleCrossing:
